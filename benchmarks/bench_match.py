@@ -1,8 +1,10 @@
 """BENCH-M1: discrimination-network matching vs the linear scan.
 
 Registers a zipf-skewed pattern population (event types follow a
-power-law, like real subscription workloads) on both event-service
-paths and drives the same seeded event storm through each:
+power-law, like real subscription workloads) on a network-routed event
+service and on the linear-scan oracle of the match test suite
+(``tests/match/linear.py``), and drives the same seeded event storm
+through each:
 
 * sweep mode (default) registers 1k → 1M patterns, reports network
   matching throughput at each size, linear-baseline throughput up to
@@ -31,6 +33,7 @@ import argparse
 import random
 import sys
 import time
+from pathlib import Path
 
 from repro.bindings import Relation
 from repro.grh.messages import Request
@@ -41,6 +44,11 @@ try:
     from reporting import summarize, write_bench_json
 except ImportError:  # running as benchmarks.bench_match
     from .reporting import summarize, write_bench_json
+
+# the linear baseline is the test suite's oracle, importable from the
+# repository root
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from tests.match.linear import linear_service  # noqa: E402
 
 DOMAIN_NS = "urn:bench:match"
 TYPES = 512          #: distinct event types
@@ -91,11 +99,13 @@ def make_event(rng: random.Random) -> Element:
 
 
 def build_service(patterns: int, seed: int,
-                  use_network: bool) -> tuple[AtomicEventService, int]:
+                  linear: bool = False) -> tuple[AtomicEventService, int]:
     """Register ``patterns`` components; returns (service, seconds)."""
     sink = _CountingSink()
-    service = AtomicEventService(sink, incarnation="",
-                                 use_network=use_network)
+    if linear:
+        service = linear_service(AtomicEventService, sink, incarnation="")
+    else:
+        service = AtomicEventService(sink, incarnation="")
     service._bench_sink = sink  # keep the counter reachable
     rng = random.Random(seed)
     started = time.perf_counter()
@@ -137,7 +147,7 @@ def run(patterns: int, *, seed: int, network_events: int,
         linear_events: int, with_linear: bool) -> dict:
     """One population size: network series, optional linear baseline."""
     results: dict = {"patterns": patterns}
-    service, register_s = build_service(patterns, seed, use_network=True)
+    service, register_s = build_service(patterns, seed)
     results["register_s"] = round(register_s, 3)
     summary, detections = drive(service, network_events, seed + 1)
     stats = service.network.stats()
@@ -149,7 +159,7 @@ def run(patterns: int, *, seed: int, network_events: int,
     results["network"] = summary
     if with_linear:
         linear, linear_register_s = build_service(patterns, seed,
-                                                  use_network=False)
+                                                  linear=True)
         results["linear_register_s"] = round(linear_register_s, 3)
         summary, detections = drive(linear, linear_events, seed + 1)
         summary["detections"] = detections
@@ -202,8 +212,7 @@ def main(argv=None) -> int:
 
     # registration-at-scale leg: the million-rule story must *load*
     big = options.registration_scale
-    big_service, register_s = build_service(big, options.seed,
-                                            use_network=True)
+    big_service, register_s = build_service(big, options.seed)
     stats = big_service.network.stats()
     big_summary, _ = drive(big_service, min(options.events, 200),
                            options.seed + 1)

@@ -46,7 +46,6 @@ class ActionRuntime:
         self.documents: dict[str, Element] = {}
         self.graphs: dict[str, Graph] = {}
         self.event_stream = event_stream
-        self.trace: list[str] = []
 
     # -- resource registration --------------------------------------------------
 
@@ -62,7 +61,6 @@ class ActionRuntime:
         """Deliver a message to a named mailbox."""
         message = Message(recipient, content)
         self.mailboxes.setdefault(recipient, []).append(message)
-        self.trace.append(f"send to {recipient}")
         return message
 
     def insert(self, document: str, parent_path: str, content: Element) -> None:
@@ -77,7 +75,6 @@ class ActionRuntime:
             if not isinstance(parent, Element):
                 raise ActionError("insert target must select elements")
             parent.append(content.copy() if index else content)
-        self.trace.append(f"insert into {document} at {parent_path}")
 
     def delete(self, document: str, path: str) -> int:
         """Delete all elements selected by ``path``; returns the count."""
@@ -88,16 +85,13 @@ class ActionRuntime:
             if victim.parent is None:
                 raise ActionError("cannot delete the document root")
             victim.detach()
-        self.trace.append(f"delete {len(victims)} nodes from {document}")
         return len(victims)
 
     def assert_triple(self, graph: str, subject, predicate, obj) -> None:
         self._graph(graph).add(subject, predicate, obj)
-        self.trace.append(f"assert in {graph}")
 
     def retract_triple(self, graph: str, subject, predicate, obj) -> bool:
         removed = self._graph(graph).remove(subject, predicate, obj)
-        self.trace.append(f"retract from {graph}")
         return removed
 
     def raise_event(self, payload: Element) -> None:
@@ -105,7 +99,6 @@ class ActionRuntime:
         if self.event_stream is None:
             raise ActionError("no event stream attached to the runtime")
         self.event_stream.emit(payload)
-        self.trace.append(f"raise {payload.name.local}")
 
     # -- helpers ------------------------------------------------------------------------
 

@@ -79,7 +79,12 @@ class OrQuery(EventQuery):
 
 class _Conjunction(EventQuery):
     """Shared machinery of ``and`` / ``seq``: all sub-queries must match
-    distinct events, with consistent bindings, optionally within a window."""
+    distinct events, with consistent bindings, optionally within a window.
+
+    With a window, state that no future detection can use is dropped
+    before each event is combined (:meth:`_forget`), so memory and the
+    per-event combination work stay bounded by the window's contents.
+    """
 
     ordered = False
 
@@ -92,9 +97,12 @@ class _Conjunction(EventQuery):
         self.queries = list(queries)
         self.within = within
         self._partials: list[list[Occurrence]] = [[] for _ in queries]
-        self._emitted: set[tuple[int, ...]] = set()
+        #: emitted combination (sorted event sequences) → its end time
+        self._emitted: dict[tuple[int, ...], float] = {}
 
     def feed(self, event: Event) -> list[Occurrence]:
+        if self.within is not None:
+            self._forget(event.timestamp - self.within)
         fresh: list[tuple[int, Occurrence]] = []
         for index, sub_query in enumerate(self.queries):
             for occurrence in sub_query.feed(event):
@@ -130,9 +138,25 @@ class _Conjunction(EventQuery):
                 if combined is None:
                     break
             if combined is not None:
-                self._emitted.add(key)
+                self._emitted[key] = end
                 detections.append(combined)
         return detections
+
+    def _forget(self, horizon: float) -> None:
+        """Drop the partials and emitted keys older than ``horizon``.
+
+        Stream timestamps are monotone, and every occurrence a
+        sub-query reports while fed an event contains that event, so
+        each new combination ends at or after ``horizon + within``.  A
+        partial starting before ``horizon`` would stretch any such
+        combination past the window; an emitted key whose events all
+        precede ``horizon`` can never be formed again.
+        """
+        self._partials = [[occurrence for occurrence in pool
+                           if occurrence.start >= horizon]
+                          for pool in self._partials]
+        self._emitted = {key: end for key, end in self._emitted.items()
+                         if end >= horizon}
 
     def reset(self) -> None:
         for sub_query in self.queries:

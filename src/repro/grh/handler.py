@@ -370,29 +370,12 @@ class GenericRequestHandler:
                         addresses, descriptor, attempt_once,
                         kind=request.kind, failover_ok=failover_ok,
                         hedge_ok=request.kind in ("query", "test"))
-            except TransientServiceFailure as exc:
-                if span is not None:
-                    _log_dispatch_failure(obs, request.kind,
-                                          descriptor.name, exc)
-                    _finish_request_span(obs, span, request.kind, scope,
-                                         status="error")
-                raise GRHError(f"service {descriptor.name!r} unreachable "
-                               f"or crashed: {exc}") from exc
-            except ServiceReportedError as exc:
-                if span is not None:
-                    _log_dispatch_failure(obs, request.kind,
-                                          descriptor.name, exc)
-                    _finish_request_span(obs, span, request.kind, scope,
-                                         status="error")
-                raise GRHError(f"service {descriptor.name!r} reported: "
-                               f"{exc}") from exc
-            except GRHError as exc:
-                if span is not None:
-                    _log_dispatch_failure(obs, request.kind,
-                                          descriptor.name, exc)
-                    _finish_request_span(obs, span, request.kind, scope,
-                                         status="error")
-                raise
+            except _DISPATCH_FAILURES as exc:
+                failure = _dispatch_failed(obs, span, request.kind, scope,
+                                           descriptor.name, exc)
+                if failure is None:
+                    raise
+                raise failure from exc
         finally:
             if scope is not None:
                 pop_wait_scope()
@@ -564,29 +547,12 @@ class GenericRequestHandler:
                 result = self.resilience.call_routed(
                     addresses, descriptor, attempt_once, kind="fetch",
                     failover_ok=True, hedge_ok=True)
-            except TransientServiceFailure as exc:
-                if span is not None:
-                    _log_dispatch_failure(obs, "fetch", descriptor.name,
-                                          exc)
-                    _finish_request_span(obs, span, "fetch", scope,
-                                         status="error")
-                raise GRHError(f"service {descriptor.name!r} unreachable "
-                               f"or crashed: {exc}") from exc
-            except ServiceReportedError as exc:
-                if span is not None:
-                    _log_dispatch_failure(obs, "fetch", descriptor.name,
-                                          exc)
-                    _finish_request_span(obs, span, "fetch", scope,
-                                         status="error")
-                raise GRHError(f"service {descriptor.name!r} reported: "
-                               f"{exc}") from exc
-            except GRHError as exc:
-                if span is not None:
-                    _log_dispatch_failure(obs, "fetch", descriptor.name,
-                                          exc)
-                    _finish_request_span(obs, span, "fetch", scope,
-                                         status="error")
-                raise
+            except _DISPATCH_FAILURES as exc:
+                failure = _dispatch_failed(obs, span, "fetch", scope,
+                                           descriptor.name, exc)
+                if failure is None:
+                    raise
+                raise failure from exc
         finally:
             if scope is not None:
                 pop_wait_scope()
@@ -720,13 +686,33 @@ class GenericRequestHandler:
                 **self.resilience.snapshot()}
 
 
-def _log_dispatch_failure(obs, kind: str, language: str, exc) -> None:
-    """One structured record per failed GRH dispatch — emitted while the
-    request span is still open, so the record carries its trace ids."""
-    log = obs.log
-    if log is not None:
-        log.warning("grh.request.failed", kind=kind, language=language,
-                    error=str(exc))
+#: what a routed dispatch can raise: the resilience layer's two
+#: internal verdicts, or an already-mapped GRHError (breaker open,
+#: retries exhausted, ...)
+_DISPATCH_FAILURES = (TransientServiceFailure, ServiceReportedError,
+                      GRHError)
+
+
+def _dispatch_failed(obs, span, kind: str, scope, language: str,
+                     exc) -> GRHError | None:
+    """Record a failed dispatch; return the GRHError to raise in place
+    of an internal verdict, or None when ``exc`` already is one.
+
+    With a request span open, one structured log record is emitted
+    before the span finishes with ``status="error"``, so the record
+    carries the span's trace ids.
+    """
+    if span is not None:
+        if obs.log is not None:
+            obs.log.warning("grh.request.failed", kind=kind,
+                            language=language, error=str(exc))
+        _finish_request_span(obs, span, kind, scope, status="error")
+    if isinstance(exc, TransientServiceFailure):
+        return GRHError(f"service {language!r} unreachable "
+                        f"or crashed: {exc}")
+    if isinstance(exc, ServiceReportedError):
+        return GRHError(f"service {language!r} reported: {exc}")
+    return None
 
 
 def _opaque_element(spec: ComponentSpec) -> Element:

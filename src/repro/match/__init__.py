@@ -11,14 +11,13 @@ grammar and :mod:`repro.match.network` for routing semantics.
 from .analyzer import (Analysis, LeafKey, analyze, compile_pattern,
                        pattern_identity, probe_keys)
 from .instrument import (CANDIDATE_BUCKETS, MatchInstruments,
-                         install_match_metrics, live_networks,
-                         live_snapshots, register_network)
+                         install_match_metrics, live_snapshots)
 from .network import AlphaNode, DiscriminationNetwork
 
 __all__ = [
     "Analysis", "LeafKey", "analyze", "compile_pattern",
     "pattern_identity", "probe_keys",
     "AlphaNode", "DiscriminationNetwork",
-    "MatchInstruments", "install_match_metrics", "live_networks",
-    "live_snapshots", "register_network", "CANDIDATE_BUCKETS",
+    "MatchInstruments", "install_match_metrics", "live_snapshots",
+    "CANDIDATE_BUCKETS",
 ]

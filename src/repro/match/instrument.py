@@ -1,8 +1,9 @@
 """Match-network observability: gauges, histograms, admin snapshots.
 
 Every :class:`~repro.match.network.DiscriminationNetwork` registers
-itself (weakly) with this module when constructed, so two consumers can
-see the whole process without any extra wiring:
+itself (weakly) with :mod:`repro.obs.live` under :data:`LIVE_KIND` when
+constructed, so two consumers can see the whole process without any
+extra wiring:
 
 * :func:`install_match_metrics` adds scrape-time gauges and the
   candidate-set histogram family to a
@@ -10,43 +11,27 @@ see the whole process without any extra wiring:
   over all live networks, labelled by service name;
 * the admin surface's ``/introspect/match`` route renders
   :func:`live_snapshots` (PROTOCOL.md §13.4).
-
-The weak registry never keeps a network (or the service owning it)
-alive: a dropped service disappears from scrapes on the next cycle.
 """
 
 from __future__ import annotations
 
-import threading
-import weakref
+from ..obs.live import live_objects, live_totals
 
-__all__ = ["register_network", "live_networks", "live_snapshots",
-           "install_match_metrics", "MatchInstruments",
-           "CANDIDATE_BUCKETS"]
+__all__ = ["LIVE_KIND", "live_snapshots", "install_match_metrics",
+           "MatchInstruments", "CANDIDATE_BUCKETS"]
+
+#: the kind discrimination networks register under in repro.obs.live
+LIVE_KIND = "match"
 
 #: histogram buckets for candidates-per-event — the quantity the whole
 #: subsystem exists to keep small (candidate counts, not seconds)
 CANDIDATE_BUCKETS = (0.0, 1.0, 2.0, 5.0, 10.0, 25.0, 50.0, 100.0,
                      250.0, 1000.0, 10000.0)
 
-_lock = threading.Lock()
-_networks: "weakref.WeakSet" = weakref.WeakSet()
-
-
-def register_network(network) -> None:
-    """Track a live network for process-wide metrics/introspection."""
-    with _lock:
-        _networks.add(network)
-
-
-def live_networks() -> list:
-    with _lock:
-        return list(_networks)
-
 
 def live_snapshots() -> list[dict]:
     """One `/introspect/match` snapshot per live network, stable order."""
-    snapshots = [network.snapshot() for network in live_networks()]
+    snapshots = [network.snapshot() for network in live_objects(LIVE_KIND)]
     snapshots.sort(key=lambda view: (view["service"],
                                      -view["registered"]))
     return snapshots
@@ -54,11 +39,7 @@ def live_snapshots() -> list[dict]:
 
 def _aggregate(field: str) -> dict[tuple[str, ...], float]:
     """Sum one stats field per service label over live networks."""
-    totals: dict[tuple[str, ...], float] = {}
-    for network in live_networks():
-        label = (network.service_name,)
-        totals[label] = totals.get(label, 0.0) + network.stats()[field]
-    return totals
+    return live_totals(LIVE_KIND, lambda network: network.stats()[field])
 
 
 class MatchInstruments:

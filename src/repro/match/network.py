@@ -36,8 +36,10 @@ import threading
 from ..events.base import Event, Occurrence
 from ..events.snoop import Atomic, Detector
 from ..events.xchange import PatternQuery
+from ..obs.live import register_live
 from .analyzer import (Analysis, LeafKey, analyze, compile_pattern,
                        pattern_identity, probe_keys)
+from .instrument import LIVE_KIND
 
 __all__ = ["AlphaNode", "DiscriminationNetwork", "Candidate"]
 
@@ -106,8 +108,7 @@ class DiscriminationNetwork:
         self.last_candidates = 0
         self.alpha_tests = 0
         self._lock = threading.Lock()  # guards counters read by scrapes
-        from .instrument import register_network
-        register_network(self)
+        register_live(LIVE_KIND, self)
 
     # -- registration churn ------------------------------------------------
 

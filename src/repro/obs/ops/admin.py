@@ -44,14 +44,6 @@ from __future__ import annotations
 
 __all__ = ["IntrospectionSurface", "ObsAdminServer", "INTROSPECTION_ROUTES"]
 
-#: every route the surface answers; HttpServiceServer dispatches on these
-INTROSPECTION_ROUTES = ("/healthz", "/readyz", "/introspect/rules",
-                        "/introspect/instances", "/introspect/breakers",
-                        "/introspect/dead-letters", "/introspect/journal",
-                        "/introspect/runtime", "/introspect/replicas",
-                        "/introspect/match", "/introspect/sparql",
-                        "/introspect/profile", "/introspect/latency")
-
 #: how many times a copy retries when a scrape races an engine mutation
 _SNAPSHOT_RETRIES = 5
 
@@ -93,37 +85,16 @@ class IntrospectionSurface:
             path.startswith("/introspect/")
 
     def handle(self, path: str, params: dict | None = None):
-        params = params or {}
-        if path == "/healthz":
-            return self.healthz()
-        if path == "/readyz":
-            return self.readyz()
-        if path == "/introspect/rules":
-            return 200, self.rules()
-        if path == "/introspect/instances":
-            limit = params.get("limit")
-            return 200, self.instances(
-                rule=params.get("rule"),
-                limit=int(limit) if limit is not None else None)
-        if path == "/introspect/breakers":
-            return 200, self.breakers()
-        if path == "/introspect/dead-letters":
-            return 200, self.dead_letters()
-        if path == "/introspect/journal":
-            return 200, self.journal()
-        if path == "/introspect/runtime":
-            return 200, self.runtime()
-        if path == "/introspect/replicas":
-            return 200, self.replicas()
-        if path == "/introspect/match":
-            return 200, self.match()
-        if path == "/introspect/sparql":
-            return 200, self.sparql()
-        if path == "/introspect/profile":
-            return self.profile(params)
-        if path == "/introspect/latency":
-            return 200, self.latency()
-        return 404, {"error": f"unknown introspection route {path!r}"}
+        route = _ROUTES.get(path)
+        if route is None:
+            return 404, {"error": f"unknown introspection route {path!r}"}
+        return route(self, params or {})
+
+    def _instances_route(self, params: dict):
+        limit = params.get("limit")
+        return 200, self.instances(
+            rule=params.get("rule"),
+            limit=int(limit) if limit is not None else None)
 
     # -- probes --------------------------------------------------------------
 
@@ -346,6 +317,32 @@ class IntrospectionSurface:
         if pool_stats is not None:
             view["http_pools"] = pool_stats()
         return view
+
+
+def _ok(view):
+    """Route a parameterless view that always answers 200."""
+    return lambda surface, params: (200, view(surface))
+
+
+#: path → ``(surface, params) -> (status, payload)``
+_ROUTES = {
+    "/healthz": lambda surface, params: surface.healthz(),
+    "/readyz": lambda surface, params: surface.readyz(),
+    "/introspect/rules": _ok(IntrospectionSurface.rules),
+    "/introspect/instances": IntrospectionSurface._instances_route,
+    "/introspect/breakers": _ok(IntrospectionSurface.breakers),
+    "/introspect/dead-letters": _ok(IntrospectionSurface.dead_letters),
+    "/introspect/journal": _ok(IntrospectionSurface.journal),
+    "/introspect/runtime": _ok(IntrospectionSurface.runtime),
+    "/introspect/replicas": _ok(IntrospectionSurface.replicas),
+    "/introspect/match": _ok(IntrospectionSurface.match),
+    "/introspect/sparql": _ok(IntrospectionSurface.sparql),
+    "/introspect/profile": IntrospectionSurface.profile,
+    "/introspect/latency": _ok(IntrospectionSurface.latency),
+}
+
+#: every route the surface answers; HttpServiceServer dispatches on these
+INTROSPECTION_ROUTES = tuple(_ROUTES)
 
 
 class ObsAdminServer:

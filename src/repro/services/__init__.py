@@ -9,7 +9,7 @@ from .query_services import (DATALOG_LANG, DatalogService, EXIST_LANG,
                              ExistLikeService, SPARQL_LANG, SparqlService,
                              XQ_LANG, XQService)
 from .test_service import TestLanguageService
-from .transports import (HttpServiceServer, HttpTransport, HybridTransport,
+from .transports import (HttpServiceServer, HybridTransport,
                          InProcessTransport, PooledHttpTransport,
                          ServiceStatusError, TransportError)
 
@@ -20,7 +20,7 @@ __all__ = [
     "XQService", "ExistLikeService", "SparqlService", "DatalogService",
     "XQ_LANG", "EXIST_LANG", "SPARQL_LANG", "DATALOG_LANG",
     "TestLanguageService", "ActionExecutionService",
-    "InProcessTransport", "HttpTransport", "HybridTransport",
+    "InProcessTransport", "HybridTransport",
     "PooledHttpTransport",
     "HttpServiceServer",
     "TransportError", "ServiceStatusError",

@@ -13,8 +13,9 @@ event is offered only to the detectors one of whose leaf patterns can
 match it (plus the non-indexable fallback bucket), so per-event cost
 tracks the *affected* components rather than the registered population.
 The delivered detection sequence — ordering, intervals, bindings,
-constituents and detection ids — is byte-for-byte what the preserved
-linear path (``use_network=False``) produces.
+constituents and detection ids — is byte-for-byte what the seed's
+linear scan (every event offered to every detector) produces; that scan
+survives as the differential oracle of the match test suite.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from typing import Callable
 
 from ..events import (Detector, Event, EventStream, parse_atomic,
                       parse_snoop, parse_xchange)
+from ..events.base import Occurrence
 from ..events.snoop import Atomic
 from ..grh.messages import Request, detection_to_xml, Detection
 from ..match import DiscriminationNetwork, install_match_metrics
@@ -46,8 +48,6 @@ _BOOT = f"{time.time_ns():x}"
 class EventDetectionService(LanguageService):
     """Shared base of the three event-language services.
 
-    ``use_network=False`` keeps the seed's linear scan — every event
-    offered to every detector — as the differential/bench baseline.
     ``metrics`` (a :class:`~repro.obs.metrics.MetricsRegistry`) installs
     the §13 match instruments; without it routing is uninstrumented.
 
@@ -62,13 +62,11 @@ class EventDetectionService(LanguageService):
 
     def __init__(self, notify: Callable[[Element], None], *,
                  incarnation: str | None = None,
-                 use_network: bool = True,
                  metrics=None) -> None:
         self._notify = notify
         self._detectors: dict[str, Detector] = {}
         self._lock = threading.RLock()
-        self._network = (DiscriminationNetwork(self.service_name)
-                         if use_network else None)
+        self._network = DiscriminationNetwork(self.service_name)
         self._instruments = (install_match_metrics(metrics)
                              if metrics is not None else None)
         #: per-service monotonic detection sequence; stamped on every
@@ -107,14 +105,12 @@ class EventDetectionService(LanguageService):
                 raise ServiceError(
                     f"component {request.component_id!r} already registered")
             self._detectors[request.component_id] = detector
-            if self._network is not None:
-                self._network.insert(request.component_id, detector)
+            self._network.insert(request.component_id, detector)
 
     def unregister_event(self, request: Request) -> None:
         with self._lock:
             self._detectors.pop(request.component_id, None)
-            if self._network is not None:
-                self._network.remove(request.component_id)
+            self._network.remove(request.component_id)
 
     # -- stream side ----------------------------------------------------------------
 
@@ -125,18 +121,13 @@ class EventDetectionService(LanguageService):
         """Process one event; signal every detection to the GRH.
 
         The detection message carries the matched event sequence along
-        with the bindings (Fig. 6 (1) of the paper).  With the
-        discrimination network the event is offered only to affected
-        detectors; a component whose whole pattern is one indexed leaf
-        reuses the network's shared alpha memory instead of re-matching.
+        with the bindings (Fig. 6 (1) of the paper).  The discrimination
+        network offers the event only to affected detectors; a
+        component whose whole pattern is one indexed leaf reuses the
+        network's shared alpha memory instead of re-matching.
         """
         with self._lock:
-            if self._network is None:
-                candidates = [(component_id, detector, None)
-                              for component_id, detector
-                              in self._detectors.items()]
-            else:
-                candidates = self._network.route(event)
+            candidates = self._network.route(event)
             if self._instruments is not None:
                 self._instruments.observe(self.service_name,
                                           len(candidates))
@@ -144,12 +135,7 @@ class EventDetectionService(LanguageService):
                 occurrences = (shared if shared is not None
                                else detector.feed(event))
                 for occurrence in occurrences:
-                    self._notify(detection_to_xml(Detection(
-                        component_id, occurrence.start, occurrence.end,
-                        occurrence.bindings,
-                        tuple(constituent.payload
-                              for constituent in occurrence.constituents),
-                        detection_id=self._next_detection_id())))
+                    self._signal(component_id, occurrence)
 
     def poll(self, now: float) -> None:
         """Drive time-based operators (snoop:periodic).
@@ -160,18 +146,17 @@ class EventDetectionService(LanguageService):
         the matched constituent events alongside the bindings.
         """
         with self._lock:
-            if self._network is None:
-                pollable = list(self._detectors.items())
-            else:
-                pollable = self._network.pollable()
-            for component_id, detector in pollable:
+            for component_id, detector in self._network.pollable():
                 for occurrence in detector.poll(now):
-                    self._notify(detection_to_xml(Detection(
-                        component_id, occurrence.start, occurrence.end,
-                        occurrence.bindings,
-                        tuple(constituent.payload
-                              for constituent in occurrence.constituents),
-                        detection_id=self._next_detection_id())))
+                    self._signal(component_id, occurrence)
+
+    def _signal(self, component_id: str, occurrence: Occurrence) -> None:
+        self._notify(detection_to_xml(Detection(
+            component_id, occurrence.start, occurrence.end,
+            occurrence.bindings,
+            tuple(constituent.payload
+                  for constituent in occurrence.constituents),
+            detection_id=self._next_detection_id())))
 
     @property
     def registered_ids(self) -> list[str]:
@@ -179,8 +164,8 @@ class EventDetectionService(LanguageService):
             return list(self._detectors)
 
     @property
-    def network(self) -> DiscriminationNetwork | None:
-        """The discrimination network, or None on the linear path."""
+    def network(self) -> DiscriminationNetwork:
+        """The discrimination network routing this service's events."""
         return self._network
 
 

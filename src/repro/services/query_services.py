@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from ..bindings import Binding, Relation, Uri, binding_to_answer
 from ..datalog import DatalogEngine, DatalogError
+from ..grh.component import _PLACEHOLDER_RE
 from ..grh.messages import Request
 from ..rdf import Graph, Literal, URIRef
 from ..rdf import select as sparql_select
@@ -36,9 +37,6 @@ XQ_LANG = "http://www.semwebtech.org/languages/2006/xquery-lite"
 EXIST_LANG = "http://www.semwebtech.org/languages/2006/exist-like"
 SPARQL_LANG = "http://www.semwebtech.org/languages/2006/sparql-lite"
 DATALOG_LANG = "http://www.semwebtech.org/languages/2006/datalog"
-
-
-_PLACEHOLDER_RE = __import__("re").compile(r"\{([A-Za-z_][A-Za-z0-9_]*)\}")
 
 
 def _substitute(text: str, binding: Binding) -> str:

@@ -8,15 +8,17 @@ between the GRH and the services):
   the bytes a service sees are identical to the HTTP case (the paper's
   services are autonomous remote processors; we keep that property
   observable).
-* :class:`HttpTransport` — services run behind real HTTP endpoints on
-  localhost (stdlib ``http.server``), POSTing ``log:`` messages; plain
-  GET with a ``query`` parameter reaches framework-UNaware services the
-  way the paper's eXist node is reached (Fig. 9).
-* :class:`PooledHttpTransport` — the same wire protocol over per-origin
-  keep-alive connection pools (bounded size, idle reaping, broken-
-  connection retirement and one transparent reconnect on a stale
-  socket).  This is the production HTTP path: per-request TCP setup is
-  the dominant cost of the sync transport under load (PROTOCOL.md §11).
+* :class:`PooledHttpTransport` — services run behind real HTTP endpoints
+  (stdlib ``http.server``, see :class:`HttpServiceServer`), reached by
+  POSTing ``log:`` messages; plain GET with a ``query`` parameter
+  reaches framework-UNaware services the way the paper's eXist node is
+  reached (Fig. 9).  Requests ride per-origin keep-alive connection
+  pools (bounded size, idle reaping, broken-connection retirement and
+  one transparent reconnect on a stale socket), because per-request TCP
+  setup dominates round-trip cost under load (PROTOCOL.md §11).
+
+:class:`HybridTransport` routes ``http(s)://`` addresses to the pooled
+HTTP client and everything else to an in-process broker.
 
 Failure taxonomy (PROTOCOL.md §11): a *connection-level* failure — the
 endpoint could not be reached, or the socket died before a response —
@@ -36,9 +38,7 @@ import json
 import socket
 import threading
 import time
-import urllib.error
 import urllib.parse
-import urllib.request
 from collections import deque
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable
@@ -49,7 +49,7 @@ from ..obs.attribution import record_wait
 from ..xmlmodel import Element, parse, serialize
 
 __all__ = ["TransportError", "ServiceStatusError", "InProcessTransport",
-           "HttpServiceServer", "HttpTransport", "PooledHttpTransport",
+           "HttpServiceServer", "PooledHttpTransport",
            "HybridTransport", "AwareHandler", "OpaqueHandler",
            "handle_batch"]
 
@@ -282,12 +282,7 @@ class _ServiceHTTPHandler(BaseHTTPRequestHandler):
             except Exception as exc:
                 self.send_error(500, str(exc))
                 return
-            self.send_response(status)
-            self.send_header("Content-Type",
-                             "application/json; charset=utf-8")
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
+            self._answer(status, body, "application/json; charset=utf-8")
             return
         if parsed.path == "/metrics" and self.metrics_registry is not None:
             try:
@@ -296,12 +291,8 @@ class _ServiceHTTPHandler(BaseHTTPRequestHandler):
             except Exception as exc:
                 self.send_error(500, str(exc))
                 return
-            self.send_response(200)
-            self.send_header("Content-Type",
-                             "text/plain; version=0.0.4; charset=utf-8")
-            self.send_header("Content-Length", str(len(payload)))
-            self.end_headers()
-            self.wfile.write(payload)
+            self._answer(200, payload,
+                         "text/plain; version=0.0.4; charset=utf-8")
             return
         if self.opaque_handler is None:
             self.send_error(405, "service has no opaque interface")
@@ -396,27 +387,20 @@ class HybridTransport:
     """
 
     def __init__(self, serialize_messages: bool = True,
-                 timeout: float = 10.0, pooled: bool = True,
-                 max_per_endpoint: int = 32,
+                 timeout: float = 10.0, max_per_endpoint: int = 32,
                  idle_timeout: float = 30.0) -> None:
-        #: pooled (the default) rides keep-alive connection pools; pass
-        #: ``pooled=False`` for the stateless one-connection-per-request
-        #: transport (the pre-§11 behavior)
         self.local = InProcessTransport(serialize_messages)
         self.http = PooledHttpTransport(
             timeout, max_per_endpoint=max_per_endpoint,
-            idle_timeout=idle_timeout) if pooled else HttpTransport(timeout)
+            idle_timeout=idle_timeout)
 
     def pool_stats(self) -> dict[str, dict]:
-        """Per-origin connection counters ({} for the unpooled path)."""
-        stats = getattr(self.http, "pool_stats", None)
-        return stats() if stats is not None else {}
+        """Per-origin connection counters of the HTTP client."""
+        return self.http.pool_stats()
 
     def close(self) -> None:
-        """Close pooled connections (no-op for the unpooled path)."""
-        close = getattr(self.http, "close", None)
-        if close is not None:
-            close()
+        """Close pooled connections."""
+        self.http.close()
 
     @staticmethod
     def _is_http(address: str) -> bool:
@@ -453,69 +437,6 @@ class HybridTransport:
         if self._is_http(address):
             return self.http.send_batch(address, envelope, timeout=timeout)
         return self.local.send_batch(address, envelope, timeout=timeout)
-
-
-def _http_error_body(exc: "urllib.error.HTTPError") -> str:
-    try:
-        return exc.read().decode("utf-8", "replace")
-    except Exception:
-        return ""
-
-
-class HttpTransport:
-    """Reaches services over HTTP (POST for aware, GET for opaque).
-
-    One fresh connection per request — simple and stateless, but each
-    round-trip pays TCP setup; :class:`PooledHttpTransport` is the
-    keep-alive path for request rates that matter.
-    """
-
-    def __init__(self, timeout: float = 10.0) -> None:
-        #: default per-request timeout; a per-request ``timeout`` argument
-        #: (e.g. from a language's resilience policy) overrides it
-        self.timeout = timeout
-
-    def send(self, address: str, message: Element,
-             timeout: float | None = None) -> Element:
-        body = serialize(message).encode("utf-8")
-        request = urllib.request.Request(
-            address, data=body,
-            headers={"Content-Type": "application/xml; charset=utf-8"})
-        effective = self.timeout if timeout is None else timeout
-        try:
-            with urllib.request.urlopen(request,
-                                        timeout=effective) as response:
-                return parse(response.read().decode("utf-8"))
-        except urllib.error.HTTPError as exc:
-            # an error *status* from a live service is not a connection
-            # failure: classify before the OSError net (HTTPError is an
-            # OSError subclass — the original misclassification bug)
-            _raise_for_status(address, exc.code, str(exc.reason),
-                              _http_error_body(exc))
-        except OSError as exc:
-            raise TransportError(f"cannot reach {address!r}: {exc}") from exc
-
-    def fetch(self, address: str, query: str,
-              timeout: float | None = None) -> str:
-        url = f"{address}?{urllib.parse.urlencode({'query': query})}"
-        effective = self.timeout if timeout is None else timeout
-        try:
-            with urllib.request.urlopen(url, timeout=effective) as response:
-                return response.read().decode("utf-8")
-        except urllib.error.HTTPError as exc:
-            _raise_for_status(address, exc.code, str(exc.reason),
-                              _http_error_body(exc))
-        except OSError as exc:
-            raise TransportError(f"cannot reach {address!r}: {exc}") from exc
-
-    def supports_batch(self, address: str) -> bool:
-        """The HTTP service handler unwraps ``log:batch`` itself."""
-        return True
-
-    def send_batch(self, address: str, envelope: Element,
-                   timeout: float | None = None) -> Element:
-        """A batch is one POST; the server-side handler fans out."""
-        return self.send(address, envelope, timeout=timeout)
 
 
 class _PooledConnection:
@@ -643,8 +564,7 @@ class _EndpointPool:
 class PooledHttpTransport:
     """HTTP transport over per-origin keep-alive connection pools.
 
-    Same wire protocol and contract as :class:`HttpTransport`; the
-    differences are operational (PROTOCOL.md §11):
+    Operational guarantees (PROTOCOL.md §11):
 
     * each origin keeps up to ``max_per_endpoint`` warm connections —
       a request costs one round-trip, not TCP setup plus a round-trip;

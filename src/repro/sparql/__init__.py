@@ -23,8 +23,7 @@ Observability rides along in :mod:`repro.sparql.instrument`
 from .exec import (ABSENT, ExecStats, Table, run_ask, run_plan, run_select,
                    solutions_from_table, table_from_solutions)
 from .instrument import (ROW_BUCKETS, SparqlInstruments,
-                         install_sparql_metrics, live_services,
-                         live_snapshots, register_service)
+                         install_sparql_metrics, live_snapshots)
 from .plan import (FilterStep, GroupPlan, OptionalStep, PlanError, QueryPlan,
                    ScanStep, UnionStep, explain, plan_query)
 from .service import RDF_SPARQL_LANG, SparqlQueryService
@@ -37,6 +36,6 @@ __all__ = [
     "ABSENT", "Table", "ExecStats", "run_plan", "run_select", "run_ask",
     "solutions_from_table", "table_from_solutions",
     "SparqlQueryService", "RDF_SPARQL_LANG",
-    "install_sparql_metrics", "SparqlInstruments", "register_service",
-    "live_services", "live_snapshots", "ROW_BUCKETS",
+    "install_sparql_metrics", "SparqlInstruments", "live_snapshots",
+    "ROW_BUCKETS",
 ]

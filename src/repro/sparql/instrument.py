@@ -1,9 +1,9 @@
 """SPARQL-backend observability: metrics, snapshots, registries.
 
 Every :class:`~repro.sparql.service.SparqlQueryService` registers
-itself (weakly) with this module when constructed, mirroring the
-``repro.match`` pattern, so two consumers see the whole process with no
-extra wiring:
+itself (weakly) with :mod:`repro.obs.live` under :data:`LIVE_KIND` when
+constructed, like the ``repro.match`` networks, so two consumers see
+the whole process with no extra wiring:
 
 * :func:`install_sparql_metrics` adds the ``eca_sparql_*`` family to a
   :class:`~repro.obs.metrics.MetricsRegistry` — query latency
@@ -12,42 +12,28 @@ extra wiring:
   scrape-time store-size gauges aggregated over all live services;
 * the admin surface's ``/introspect/sparql`` route renders
   :func:`live_snapshots` (PROTOCOL.md §15).
-
-The weak registry never keeps a service (or its store) alive: a dropped
-service disappears from scrapes on the next cycle.
 """
 
 from __future__ import annotations
 
-import threading
-import weakref
+from ..obs.live import live_objects, live_totals
 
-__all__ = ["register_service", "live_services", "live_snapshots",
-           "install_sparql_metrics", "SparqlInstruments", "ROW_BUCKETS"]
+__all__ = ["LIVE_KIND", "live_snapshots", "install_sparql_metrics",
+           "SparqlInstruments", "ROW_BUCKETS"]
+
+#: the kind SPARQL services register under in repro.obs.live
+LIVE_KIND = "sparql"
 
 #: histogram buckets for result-set/estimate row counts (rows, not
 #: seconds): the quantity the planner tries to predict
 ROW_BUCKETS = (0.0, 1.0, 2.0, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0,
                1000.0, 10000.0, 100000.0)
 
-_lock = threading.Lock()
-_services: "weakref.WeakSet" = weakref.WeakSet()
-
-
-def register_service(service) -> None:
-    """Track a live SPARQL service for process-wide metrics/introspection."""
-    with _lock:
-        _services.add(service)
-
-
-def live_services() -> list:
-    with _lock:
-        return list(_services)
-
 
 def live_snapshots() -> list[dict]:
     """One ``/introspect/sparql`` view per live service, stable order."""
-    snapshots = [service.introspection() for service in live_services()]
+    snapshots = [service.introspection()
+                 for service in live_objects(LIVE_KIND)]
     snapshots.sort(key=lambda view: (view["service"],
                                      -view["store"]["triples"]))
     return snapshots
@@ -55,12 +41,8 @@ def live_snapshots() -> list[dict]:
 
 def _aggregate(field: str) -> dict[tuple[str, ...], float]:
     """Sum one store-snapshot field per service label over live services."""
-    totals: dict[tuple[str, ...], float] = {}
-    for service in live_services():
-        label = (service.service_name,)
-        totals[label] = totals.get(label, 0.0) + \
-            service.store.snapshot()[field]
-    return totals
+    return live_totals(LIVE_KIND,
+                       lambda service: service.store.snapshot()[field])
 
 
 class SparqlInstruments:

@@ -43,7 +43,8 @@ from ..services.base import LanguageService, ServiceError
 from ..services.query_services import (_PLACEHOLDER_RE,
                                        _per_tuple_lp_evaluation)
 from .exec import run_plan, solutions_from_table, table_from_solutions
-from .instrument import install_sparql_metrics, register_service
+from ..obs.live import register_live
+from .instrument import LIVE_KIND, install_sparql_metrics
 from .plan import QueryPlan, explain, plan_query
 from .store import TripleStore
 
@@ -110,7 +111,7 @@ class SparqlQueryService(LanguageService):
                       "fallback_rows": 0}
         self._instruments = (install_sparql_metrics(metrics)
                              if metrics is not None else None)
-        register_service(self)
+        register_live(LIVE_KIND, self)
 
     # -- planning ------------------------------------------------------------
 

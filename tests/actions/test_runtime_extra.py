@@ -5,23 +5,26 @@ import pytest
 from repro.actions import ActionError, ActionRuntime, RetractTriple
 from repro.bindings import Binding
 from repro.rdf import Graph, Literal, URIRef
-from repro.xmlmodel import E, parse
+from repro.xmlmodel import E, parse, serialize
 
 
 class TestRuntimeBookkeeping:
     def test_trace_records_operations(self):
         runtime = ActionRuntime()
         runtime.register_document("d", parse("<root><x/></root>"))
-        runtime.register_graph("g", Graph())
-        runtime.send("box", E("m"))
+        graph = Graph()
+        runtime.register_graph("g", graph)
+        triple = (URIRef("urn:s"), URIRef("urn:p"), Literal("o"))
+        message = runtime.send("box", E("m"))
+        assert runtime.messages("box") == [message]
         runtime.insert("d", "/root", E("y"))
-        runtime.delete("d", "/root/x")
-        runtime.assert_triple("g", URIRef("urn:s"), URIRef("urn:p"),
-                              Literal("o"))
-        runtime.retract_triple("g", URIRef("urn:s"), URIRef("urn:p"),
-                               Literal("o"))
-        kinds = [entry.split()[0] for entry in runtime.trace]
-        assert kinds == ["send", "insert", "delete", "assert", "retract"]
+        assert serialize(runtime.documents["d"]) == "<root><x/><y/></root>"
+        assert runtime.delete("d", "/root/x") == 1
+        assert serialize(runtime.documents["d"]) == "<root><y/></root>"
+        runtime.assert_triple("g", *triple)
+        assert triple in graph
+        assert runtime.retract_triple("g", *triple)
+        assert len(graph) == 0
 
     def test_delete_returns_count(self):
         runtime = ActionRuntime()

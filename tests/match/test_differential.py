@@ -1,7 +1,8 @@
-"""Differential storms: network path ≡ preserved linear path.
+"""Differential storms: network path ≡ the linear-scan oracle.
 
 For every event service and seeds 0–9: register the same random rule
-set on a network-routed service and a linear one, drive the same seeded
+set on a network-routed service and on one routed through the seed's
+linear scan (:mod:`.linear`), drive the same seeded
 event storm (with mid-storm polls and registration churn), and assert
 the two emit **identical detection sequences** — same canonical XML,
 which pins component ids, intervals, bindings, constituents *and*
@@ -19,6 +20,7 @@ from repro.services.event_service import (AtomicEventService, SnoopService,
                                           XChangeService)
 from repro.xmlmodel import canonicalize
 
+from .linear import linear_service
 from .storm import (random_event_payload, random_pattern, random_snoop,
                     random_xchange)
 
@@ -43,9 +45,9 @@ def run_storm(service_cls, make_rule, seed, rules=24, events=110):
     """Drive one seeded storm through both paths; return both outputs."""
     outputs = {"network": [], "linear": []}
     services = {
-        name: service_cls(outputs[name].append, incarnation="",
-                          use_network=(name == "network"))
-        for name in outputs
+        "network": service_cls(outputs["network"].append, incarnation=""),
+        "linear": linear_service(service_cls, outputs["linear"].append,
+                                 incarnation=""),
     }
     rng = random.Random(seed)
     contents = [make_rule(rng) for _ in range(rules)]

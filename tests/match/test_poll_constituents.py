@@ -7,6 +7,8 @@ includes — Fig. 6 (1) signals "the event sequence that matched the
 pattern" for *every* detection, not only stream-driven ones.
 """
 
+import functools
+
 import pytest
 
 from repro.bindings import Relation
@@ -15,6 +17,7 @@ from repro.grh.messages import Request, xml_to_detection
 from repro.services.event_service import SnoopService
 from repro.xmlmodel import parse
 
+from .linear import linear_service
 from .storm import DOMAIN_NS
 
 D = f'xmlns:d="{DOMAIN_NS}"'
@@ -28,12 +31,13 @@ PERIODIC = f"""
 """
 
 
-@pytest.mark.parametrize("use_network", [True, False],
+@pytest.mark.parametrize("build", [SnoopService,
+                                   functools.partial(linear_service,
+                                                     SnoopService)],
                          ids=["network", "linear"])
-def test_periodic_poll_carries_constituents(use_network):
+def test_periodic_poll_carries_constituents(build):
     delivered = []
-    service = SnoopService(delivered.append, incarnation="",
-                           use_network=use_network)
+    service = build(delivered.append, incarnation="")
     service.register_event(Request("register-event", "tick::event",
                                    parse(PERIODIC), Relation.unit()))
     opener = parse(f'<d:open {D} job="j1"/>')

@@ -1,5 +1,6 @@
 """PooledHttpTransport: keep-alive reuse, pool bounds, reconnects —
-and the PROTOCOL.md §11 failure taxonomy on both HTTP transports."""
+and the PROTOCOL.md §11 failure taxonomy, both on the client itself and
+through HybridTransport's HTTP route."""
 
 import http.client
 import socket
@@ -14,7 +15,7 @@ from repro.grh import (GenericRequestHandler, LanguageDescriptor,
 from repro.grh.handler import GRHError
 from repro.grh.messages import Request, request_to_xml
 from repro.grh.resilience import BreakerPolicy
-from repro.services import (HttpServiceServer, HttpTransport,
+from repro.services import (HttpServiceServer, HybridTransport,
                             PooledHttpTransport, ServiceStatusError,
                             TransportError)
 from repro.services.transports import _raise_for_status
@@ -269,7 +270,7 @@ class TestStaleSocketReconnect:
 
 class TestHttpStatusTaxonomy:
     @pytest.mark.parametrize("transport_cls",
-                             [HttpTransport, PooledHttpTransport])
+                             [PooledHttpTransport, HybridTransport])
     def test_service_exception_is_service_reported(self, transport_cls):
         def handler(message):
             raise RuntimeError("deterministic boom")
@@ -284,7 +285,7 @@ class TestHttpStatusTaxonomy:
             assert "deterministic boom" in str(excinfo.value)
 
     @pytest.mark.parametrize("transport_cls",
-                             [HttpTransport, PooledHttpTransport])
+                             [PooledHttpTransport, HybridTransport])
     @pytest.mark.parametrize("status_line", ["502 Bad Gateway",
                                              "503 Service Unavailable",
                                              "504 Gateway Timeout"])

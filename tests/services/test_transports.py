@@ -1,10 +1,14 @@
 """Transports: in-process broker and the real localhost HTTP endpoints."""
 
+import contextlib
+import time
+
 import pytest
 
 from repro.bindings import Relation, relation_to_answers
-from repro.services import (HttpServiceServer, HttpTransport,
-                            InProcessTransport, TransportError)
+from repro.services import (HttpServiceServer, HybridTransport,
+                            InProcessTransport, PooledHttpTransport,
+                            ServiceStatusError, TransportError)
 from repro.xmlmodel import canonicalize, parse, serialize
 
 
@@ -51,38 +55,63 @@ class TestInProcessTransport:
         assert transport.fetch("svc:exist", "query") == "result-of(query)"
 
 
+@contextlib.contextmanager
+def http_clients(**options):
+    """The HTTP client (PROTOCOL.md §11), bare and behind
+    HybridTransport's ``http://`` route; closed on exit."""
+    clients = [PooledHttpTransport(**options), HybridTransport(**options)]
+    try:
+        yield clients
+    finally:
+        for client in clients:
+            client.close()
+
+
 class TestHttpTransport:
     def test_aware_post_roundtrip(self):
         def handler(message):
             return relation_to_answers(Relation([{"Got": message.name.local}]))
 
-        with HttpServiceServer(aware_handler=handler) as url:
-            transport = HttpTransport()
-            response = transport.send(url, parse("<ping/>"))
-            assert "Got" in serialize(response)
+        with HttpServiceServer(aware_handler=handler) as url, \
+                http_clients() as clients:
+            for transport in clients:
+                response = transport.send(url, parse("<ping/>"))
+                assert "Got" in serialize(response)
 
     def test_opaque_get_roundtrip(self):
-        with HttpServiceServer(opaque_handler=lambda q: f"<r q='{q}'/>") as url:
-            transport = HttpTransport()
-            assert transport.fetch(url, "the query") == "<r q='the query'/>"
+        with HttpServiceServer(opaque_handler=lambda q: f"<r q='{q}'/>") \
+                as url, http_clients() as clients:
+            for transport in clients:
+                assert transport.fetch(url, "the query") \
+                    == "<r q='the query'/>"
 
     def test_unreachable_endpoint(self):
-        transport = HttpTransport(timeout=0.5)
-        with pytest.raises(TransportError):
-            transport.send("http://127.0.0.1:1/", parse("<x/>"))
+        with http_clients(timeout=0.5) as clients:
+            for transport in clients:
+                with pytest.raises(TransportError) as excinfo:
+                    transport.send("http://127.0.0.1:1/", parse("<x/>"))
+                # connection-level: transient, not a service report
+                assert not isinstance(excinfo.value, ServiceStatusError)
 
     def test_service_exception_becomes_transport_error(self):
         def handler(message):
             raise RuntimeError("boom")
 
-        with HttpServiceServer(aware_handler=handler) as url:
-            with pytest.raises(TransportError):
-                HttpTransport().send(url, parse("<x/>"))
+        with HttpServiceServer(aware_handler=handler) as url, \
+                http_clients() as clients:
+            for transport in clients:
+                with pytest.raises(ServiceStatusError) as excinfo:
+                    transport.send(url, parse("<x/>"))
+                assert excinfo.value.status == 500
+                assert isinstance(excinfo.value, TransportError)
 
     def test_wrong_method_rejected(self):
-        with HttpServiceServer(aware_handler=lambda m: m) as url:
-            with pytest.raises(TransportError):
-                HttpTransport().fetch(url, "q")
+        with HttpServiceServer(aware_handler=lambda m: m) as url, \
+                http_clients() as clients:
+            for transport in clients:
+                with pytest.raises(ServiceStatusError) as excinfo:
+                    transport.fetch(url, "q")
+                assert excinfo.value.status == 405
 
 
 class TestHttpServiceServerLifecycle:
@@ -109,9 +138,24 @@ class TestPerRequestTimeouts:
             return parse("<ok/>")
 
         with HttpServiceServer(aware_handler=handler) as url:
-            transport = HttpTransport(timeout=10.0)
+            transport = PooledHttpTransport(timeout=10.0)
             response = transport.send(url, parse("<x/>"), timeout=2.0)
             assert response.name.local == "ok"
+            transport.close()
+
+    def test_http_send_times_out_on_a_slow_service(self):
+        def slow(message):
+            time.sleep(0.5)
+            return parse("<late/>")
+
+        with HttpServiceServer(aware_handler=slow) as url:
+            transport = PooledHttpTransport(timeout=10.0)
+            started = time.monotonic()
+            with pytest.raises(TransportError) as excinfo:
+                transport.send(url, parse("<x/>"), timeout=0.1)
+            assert time.monotonic() - started < 0.45
+            assert not isinstance(excinfo.value, ServiceStatusError)
+            transport.close()
 
     def test_in_process_accepts_and_ignores_timeout(self):
         transport = InProcessTransport()
@@ -122,7 +166,6 @@ class TestPerRequestTimeouts:
         assert transport.fetch("svc:o", "q", timeout=0.01) == "v"
 
     def test_hybrid_routes_timeout_through(self):
-        from repro.services import HybridTransport
         recorded = []
 
         class SpyHttp:
@@ -162,6 +205,8 @@ class TestWireEquivalence:
             return parse("<ok/>")
 
         with HttpServiceServer(aware_handler=capture_http) as url:
-            HttpTransport().send(url, message)
+            transport = PooledHttpTransport()
+            transport.send(url, message)
+            transport.close()
 
         assert captured["inproc"] == captured["http"]
